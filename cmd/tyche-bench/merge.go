@@ -25,10 +25,10 @@ type scalePoint struct {
 }
 
 type scaleOutput struct {
-	RequireSpeedup  float64
-	CapringRequire  float64
-	GateWorkers     int
-	GateSpeedups    map[string]float64 // workload -> speedup at GateWorkers
+	RequireSpeedup float64
+	CapringRequire float64
+	GateWorkers    int
+	GateSpeedups   map[string]float64 // workload -> speedup at GateWorkers
 	// GateApplied is false when the host that produced the runs cannot
 	// express gateWorkers-way parallelism (GoMaxProc too low): lock
 	// policies cannot change wall time without hardware threads to

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/hw"
@@ -83,6 +84,71 @@ func (e *PMPExhaustedError) Error() string {
 		e.Owner, e.Needed, e.Available)
 }
 
+// Common is what both backends share: machine, capability space, the
+// owner-to-state table (S per domain, ASIDs from 1) and the device and
+// cleanup methods. The table has its own RWMutex, as installation can
+// race removal under the monitor's shared lock.
+type Common[S any] struct {
+	Mach  *hw.Machine
+	Space *cap.Space
+
+	mu       sync.RWMutex
+	doms     map[cap.OwnerID]*S
+	nextASID uint64
+}
+
+// AddDomain installs mk(asid) as owner's state under a fresh ASID.
+func (c *Common[S]) AddDomain(owner cap.OwnerID, mk func(asid uint64) *S) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.doms[owner]; ok {
+		return fmt.Errorf("domain %d already installed", owner)
+	}
+	if c.doms == nil {
+		c.doms = make(map[cap.OwnerID]*S)
+	}
+	c.nextASID++
+	c.doms[owner] = mk(c.nextASID)
+	return nil
+}
+
+// Domain returns owner's state, or ErrUnknownDomain.
+func (c *Common[S]) Domain(owner cap.OwnerID) (*S, error) {
+	c.mu.RLock()
+	st, ok := c.doms[owner]
+	c.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("%w: %d", ErrUnknownDomain, owner)
+	}
+	return st, nil
+}
+
+// DropDomain removes owner's state.
+func (c *Common[S]) DropDomain(owner cap.OwnerID) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.doms, owner)
+}
+
+// SyncDevice implements Backend: program dev's IOMMU context entry from
+// capability state. The RISC-V platform model has no IOMMU contexts per
+// se; it models an equivalent bus filter, so both backends make
+// identical DMA accept/deny decisions.
+func (c *Common[S]) SyncDevice(dev phys.DeviceID) error {
+	filter, err := BuildDeviceFilter(c.Space, dev)
+	if err != nil {
+		return err
+	}
+	c.Mach.IOMMU.Attach(dev, filter)
+	return nil
+}
+
+// ExecuteCleanups implements Backend: zero revoked memory, flush caches,
+// and shoot down TLBs as each action's policy demands.
+func (c *Common[S]) ExecuteCleanups(acts []cap.CleanupAction) error {
+	return RunCleanups(c.Mach, acts)
+}
+
 // RightsToPerm maps capability memory rights onto hardware permissions.
 func RightsToPerm(r cap.Rights) hw.Perm {
 	var p hw.Perm
@@ -98,24 +164,15 @@ func RightsToPerm(r cap.Rights) hw.Perm {
 	return p
 }
 
-// Segment is one contiguous run of identically permissioned memory in a
-// domain's flattened view; both backends program from this form.
-type Segment struct {
-	Region phys.Region
-	Perm   hw.Perm
-}
-
 // FlattenGrants folds a domain's per-capability memory grants into
-// minimal disjoint segments, OR-ing permissions where capabilities
-// overlap and merging adjacent equal-permission runs.
-func FlattenGrants(grants []cap.MemoryGrant) []Segment {
-	if len(grants) == 0 {
-		return nil
-	}
+// minimal disjoint extents in address order, OR-ing permissions where
+// capabilities overlap and merging adjacent equal-permission runs. Both
+// backends program from this form.
+func FlattenGrants(grants []cap.MemoryGrant) []hw.Extent {
 	type ev struct {
-		at   phys.Addr
-		perm hw.Perm
-		open bool
+		at    phys.Addr
+		perm  hw.Perm
+		delta int // +1 opens a grant, -1 closes it
 	}
 	var events []ev
 	for _, g := range grants {
@@ -123,56 +180,36 @@ func FlattenGrants(grants []cap.MemoryGrant) []Segment {
 		if p == hw.PermNone || g.Region.Empty() {
 			continue
 		}
-		events = append(events, ev{g.Region.Start, p, true}, ev{g.Region.End, p, false})
+		events = append(events, ev{g.Region.Start, p, 1}, ev{g.Region.End, p, -1})
 	}
-	if len(events) == 0 {
-		return nil
-	}
-	// Sweep with permission multiset; close before open at equal points.
+	// Sweep with a count of open grants per permission set; close
+	// before open at equal points.
 	sort.Slice(events, func(i, j int) bool {
 		if events[i].at != events[j].at {
 			return events[i].at < events[j].at
 		}
-		return !events[i].open && events[j].open
+		return events[i].delta < events[j].delta
 	})
-	counts := map[hw.Perm]int{}
-	var out []Segment
+	var counts [hw.PermRWX + 1]int
+	var out []hw.Extent
 	var prev phys.Addr
 	cur := hw.PermNone
-	recompute := func() hw.Perm {
-		var p hw.Perm
-		for perm, n := range counts {
-			if n > 0 {
-				p |= perm
-			}
-		}
-		return p
-	}
 	for _, e := range events {
 		if e.at > prev && cur != hw.PermNone {
 			if n := len(out); n > 0 && out[n-1].Region.End == prev && out[n-1].Perm == cur {
 				out[n-1].Region.End = e.at
 			} else {
-				out = append(out, Segment{Region: phys.Region{Start: prev, End: e.at}, Perm: cur})
+				out = append(out, hw.Extent{Region: phys.Region{Start: prev, End: e.at}, Perm: cur})
 			}
 		}
 		prev = e.at
-		if e.open {
-			counts[e.perm]++
-		} else {
-			counts[e.perm]--
+		counts[e.perm] += e.delta
+		cur = hw.PermNone
+		for perm, n := range counts {
+			if n > 0 {
+				cur |= hw.Perm(perm)
+			}
 		}
-		cur = recompute()
 	}
-	// Merge adjacent equal-permission segments (can arise when a region
-	// closes and an identical-permission region opens at the same point).
-	var merged []Segment
-	for _, s := range out {
-		if n := len(merged); n > 0 && merged[n-1].Region.End == s.Region.Start && merged[n-1].Perm == s.Perm {
-			merged[n-1].Region.End = s.Region.End
-			continue
-		}
-		merged = append(merged, s)
-	}
-	return merged
+	return out
 }

@@ -3,6 +3,7 @@ package backend_test
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/backend"
@@ -58,7 +59,7 @@ func TestFlattenGrants(t *testing.T) {
 		{Region: phys.MakeRegion(10*pg, 2*pg), Rights: cap.MemRWX, Node: 4}, // adjacent same perm: merge
 	}
 	segs := backend.FlattenGrants(grants)
-	want := []backend.Segment{
+	want := []hw.Extent{
 		{Region: phys.MakeRegion(0, 2*pg), Perm: hw.PermR},
 		{Region: phys.MakeRegion(2*pg, 2*pg), Perm: hw.PermRW},
 		{Region: phys.MakeRegion(4*pg, 2*pg), Perm: hw.PermW},
@@ -457,7 +458,78 @@ func TestBuildDeviceFilterUnion(t *testing.T) {
 	if err := gpu.DMAWrite(phys.Addr(8*pg), []byte{1}); err == nil {
 		t.Fatal("unauthorized DMA succeeded")
 	}
+
+	// Overlapping holders OR their permissions (R from one and W from
+	// another give RW), execute is stripped, and touching runs with
+	// equal permissions merge, across holders too.
+	for _, g := range []struct {
+		owner  cap.OwnerID
+		res    cap.Resource
+		rights cap.Rights
+	}{
+		{3, mem(16, 4), cap.RightRead},
+		{3, mem(24, 2), cap.MemRX},
+		{4, mem(18, 4), cap.RightWrite | cap.RightExec},
+		{4, mem(22, 2), cap.RightWrite},
+		{4, mem(26, 2), cap.MemRX},
+		{3, cap.DeviceResource(dev), cap.DeviceFull},
+		{4, cap.DeviceResource(dev), cap.RightDMA},
+	} {
+		if _, err := s.CreateRoot(g.owner, g.res, g.rights, cap.CleanNone); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err = backend.BuildDeviceFilter(s, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []hw.Extent{
+		{Region: phys.MakeRegion(0, 4*pg), Perm: hw.PermRW},
+		{Region: phys.MakeRegion(16*pg, 2*pg), Perm: hw.PermR},
+		{Region: phys.MakeRegion(18*pg, 2*pg), Perm: hw.PermRW},
+		{Region: phys.MakeRegion(20*pg, 4*pg), Perm: hw.PermW},
+		{Region: phys.MakeRegion(24*pg, 4*pg), Perm: hw.PermR},
+	}
+	if got := f.Mappings(); !slices.Equal(got, want) {
+		t.Fatalf("union filter = %v, want %v", got, want)
+	}
+	if f.MappedPages() != 16 {
+		t.Fatalf("union filter maps %d pages, want 16", f.MappedPages())
+	}
 }
+
+// BenchmarkBuildDeviceFilter rebuilds a device filter over a large DMA
+// holder (a dom0-sized root region) plus a second holder's scattered
+// pages: the work every device resync does.
+func BenchmarkBuildDeviceFilter(b *testing.B) {
+	_, s := newWorld(b, 0)
+	dev := phys.DeviceID(0)
+	if _, err := s.CreateRoot(1, mem(0, 8192), cap.MemFull, cap.CleanNone); err != nil {
+		b.Fatal(err)
+	}
+	for i := uint64(0); i < 64; i++ {
+		if _, err := s.CreateRoot(2, mem(8192+2*i, 1), cap.MemRW, cap.CleanNone); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, o := range []cap.OwnerID{1, 2} {
+		if _, err := s.CreateRoot(o, cap.DeviceResource(dev), cap.DeviceFull, cap.CleanNone); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := backend.BuildDeviceFilter(s, dev)
+		if err != nil {
+			b.Fatal(err)
+		}
+		filterSink = f
+	}
+}
+
+// filterSink keeps benchmarked filters from being optimised away.
+var filterSink *hw.EPT
 
 // TestDifferentialBackends drives identical random capability workloads
 // through both backends and checks they make identical accept/deny

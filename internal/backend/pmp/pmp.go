@@ -29,27 +29,18 @@ type domainState struct {
 	// cores program them into PMP files) and the lazily-populated
 	// per-core context cache.
 	mu   sync.Mutex
-	segs []backend.Segment
+	segs []hw.Extent
 	ctxs map[phys.CoreID]*hw.Context
 }
 
 // Backend is the machine-mode PMP enforcement backend.
 //
-// Concurrency contract: under the epoch scheme every monitor entry
-// holds the top-level lock shared, so InstallDomain can race
-// RemoveDomain at this layer. The domains map and nextASID carry their
-// own RWMutex (domMu); per-domain mutable state carries the
-// domainState mutex. A domainState pointer read under domMu.RLock
-// stays valid after the unlock — removal only deletes the map entry,
-// and the dead domain's PMP files have been cleared, so a racing
-// reader's view degrades to deny-all.
+// Concurrency contract: the domain table (Common) synchronises itself;
+// per-domain state carries the domainState mutex. A dead domain's PMP
+// files are cleared before removal, so a racing reader's view degrades
+// to deny-all.
 type Backend struct {
-	mach  *hw.Machine
-	space *cap.Space
-
-	domMu    sync.RWMutex
-	domains  map[cap.OwnerID]*domainState
-	nextASID uint64
+	backend.Common[domainState]
 	reserved int // entries locked for monitor self-protection per core
 }
 
@@ -60,12 +51,7 @@ type Option func(*Backend)
 // non-empty, entry 0 of every core is programmed to deny it and locked —
 // machine-mode self-protection, as Keystone's security monitor does.
 func New(mach *hw.Machine, space *cap.Space, monitorRegion phys.Region) (*Backend, error) {
-	b := &Backend{
-		mach:     mach,
-		space:    space,
-		domains:  make(map[cap.OwnerID]*domainState),
-		nextASID: 1,
-	}
+	b := &Backend{Common: backend.Common[domainState]{Mach: mach, Space: space}}
 	if !monitorRegion.Empty() {
 		for _, c := range mach.Cores {
 			if err := c.PMPUnit.Program(0, monitorRegion, hw.PermNone); err != nil {
@@ -87,50 +73,32 @@ func (b *Backend) Name() string { return "pmp" }
 // Budget returns the PMP entries available to a domain layout on each
 // core (total minus monitor-reserved).
 func (b *Backend) Budget() int {
-	if len(b.mach.Cores) == 0 {
+	if len(b.Mach.Cores) == 0 {
 		return 0
 	}
-	return b.mach.Cores[0].PMPUnit.NumEntries() - b.reserved
+	return b.Mach.Cores[0].PMPUnit.NumEntries() - b.reserved
 }
 
-// InstallDomain implements backend.Backend. The map insert holds domMu
-// exclusively; the initial sync runs after the unlock (SyncDomain
-// re-enters through state(), and the RWMutex is not reentrant).
+// InstallDomain implements backend.Backend.
 func (b *Backend) InstallDomain(owner cap.OwnerID) error {
-	b.domMu.Lock()
-	if _, ok := b.domains[owner]; ok {
-		b.domMu.Unlock()
-		return fmt.Errorf("pmp: domain %d already installed", owner)
+	err := b.AddDomain(owner, func(asid uint64) *domainState {
+		return &domainState{owner: owner, asid: asid, ctxs: make(map[phys.CoreID]*hw.Context)}
+	})
+	if err != nil {
+		return fmt.Errorf("pmp: %w", err)
 	}
-	b.domains[owner] = &domainState{
-		owner: owner,
-		asid:  b.nextASID,
-		ctxs:  make(map[phys.CoreID]*hw.Context),
-	}
-	b.nextASID++
-	b.domMu.Unlock()
 	return b.SyncDomain(owner)
-}
-
-func (b *Backend) state(owner cap.OwnerID) (*domainState, error) {
-	b.domMu.RLock()
-	st, ok := b.domains[owner]
-	b.domMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", backend.ErrUnknownDomain, owner)
-	}
-	return st, nil
 }
 
 // SyncDomain implements backend.Backend: recompute the domain's segment
 // layout and validate it against the PMP budget. The hardware itself is
 // reprogrammed lazily at transition time (PMP is per-core state).
 func (b *Backend) SyncDomain(owner cap.OwnerID) error {
-	st, err := b.state(owner)
+	st, err := b.Domain(owner)
 	if err != nil {
 		return err
 	}
-	segs := backend.FlattenGrants(b.space.OwnerMemoryGrants(owner))
+	segs := backend.FlattenGrants(b.Space.OwnerMemoryGrants(owner))
 	if need, avail := len(segs), b.Budget(); need > avail {
 		return &backend.PMPExhaustedError{Owner: owner, Needed: need, Available: avail}
 	}
@@ -139,7 +107,7 @@ func (b *Backend) SyncDomain(owner cap.OwnerID) error {
 	st.segs = segs
 	// Cores currently running this domain must be reprogrammed now:
 	// access may have been revoked.
-	for _, c := range b.mach.Cores {
+	for _, c := range b.Mach.Cores {
 		if ctx := c.Context(); ctx != nil && ctx.Owner == uint64(owner) {
 			if _, ok := st.ctxs[c.ID()]; ok {
 				b.program(c, st)
@@ -152,39 +120,35 @@ func (b *Backend) SyncDomain(owner cap.OwnerID) error {
 // program writes the domain's segments into the core's PMP file
 // (st.mu held).
 func (b *Backend) program(core *hw.Core, st *domainState) {
-	unit := core.PMPUnit
-	cleared := unit.ClearAll()
-	b.mach.Clock.Advance(uint64(cleared) * b.mach.Cost.PMPWrite)
-	idx := b.reserved
-	for _, s := range st.segs {
-		// Budget was validated at sync time; a failure here is a
-		// programming bug, not a runtime condition.
-		if err := unit.Program(idx, s.Region, s.Perm); err != nil {
-			panic(fmt.Sprintf("pmp: validated layout failed to program: %v", err))
-		}
-		b.mach.Clock.Advance(b.mach.Cost.PMPWrite)
-		b.mach.Trace(int32(core.ID()), trace.KPMPWrite, uint64(st.owner), uint64(idx), uint64(s.Perm), uint64(s.Region.Start), s.Region.Size())
-		idx++
+	// One swap of the register file: a core running the domain meanwhile
+	// never sees the cleared file. Budget was validated at sync time; a
+	// failure here is a programming bug, not a runtime condition.
+	cleared, err := core.PMPUnit.Reprogram(b.reserved, st.segs)
+	if err != nil {
+		panic(fmt.Sprintf("pmp: validated layout failed to program: %v", err))
+	}
+	b.Mach.Clock.Advance(uint64(cleared) * b.Mach.Cost.PMPWrite)
+	for i, s := range st.segs {
+		b.Mach.Clock.Advance(b.Mach.Cost.PMPWrite)
+		b.Mach.Trace(int32(core.ID()), trace.KPMPWrite, uint64(st.owner), uint64(b.reserved+i), uint64(s.Perm), uint64(s.Region.Start), s.Region.Size())
 	}
 }
 
 // RemoveDomain implements backend.Backend.
 func (b *Backend) RemoveDomain(owner cap.OwnerID) error {
-	if _, err := b.state(owner); err != nil {
+	if _, err := b.Domain(owner); err != nil {
 		return err
 	}
 	// Scrub the register files of cores the domain died on: PMP state
 	// outlives the domain otherwise, and cleared entries (plus the
 	// locked monitor guard) deny every access.
-	for _, c := range b.mach.Cores {
+	for _, c := range b.Mach.Cores {
 		if ctx := c.Context(); ctx != nil && ctx.Owner == uint64(owner) {
 			cleared := c.PMPUnit.ClearAll()
-			b.mach.Clock.Advance(uint64(cleared) * b.mach.Cost.PMPWrite)
+			b.Mach.Clock.Advance(uint64(cleared) * b.Mach.Cost.PMPWrite)
 		}
 	}
-	b.domMu.Lock()
-	delete(b.domains, owner)
-	b.domMu.Unlock()
+	b.DropDomain(owner)
 	return nil
 }
 
@@ -192,7 +156,7 @@ func (b *Backend) RemoveDomain(owner cap.OwnerID) error {
 // core's PMP unit itself: whatever is programmed on the core at access
 // time decides, exactly like the hardware.
 func (b *Backend) Context(owner cap.OwnerID, core phys.CoreID) (*hw.Context, error) {
-	st, err := b.state(owner)
+	st, err := b.Domain(owner)
 	if err != nil {
 		return nil, err
 	}
@@ -200,7 +164,7 @@ func (b *Backend) Context(owner cap.OwnerID, core phys.CoreID) (*hw.Context, err
 	defer st.mu.Unlock()
 	ctx, ok := st.ctxs[core]
 	if !ok {
-		c := b.mach.Core(core)
+		c := b.Mach.Core(core)
 		if c == nil {
 			return nil, fmt.Errorf("pmp: no core %v", core)
 		}
@@ -221,7 +185,7 @@ func (b *Backend) Transition(core *hw.Core, to cap.OwnerID, fast bool) error {
 	if fast {
 		return fmt.Errorf("%w: pmp backend has no VMFUNC analogue", backend.ErrNoFastPath)
 	}
-	st, err := b.state(to)
+	st, err := b.Domain(to)
 	if err != nil {
 		return err
 	}
@@ -229,12 +193,12 @@ func (b *Backend) Transition(core *hw.Core, to cap.OwnerID, fast bool) error {
 	if err != nil {
 		return err
 	}
-	cost := b.mach.Cost
-	b.mach.Clock.Advance(cost.MTrap)
+	cost := b.Mach.Cost
+	b.Mach.Clock.Advance(cost.MTrap)
 	st.mu.Lock()
 	b.program(core, st)
 	st.mu.Unlock()
-	b.mach.Clock.Advance(cost.MRet)
+	b.Mach.Clock.Advance(cost.MRet)
 	core.InstallContext(ctx) // PMP is untagged: full TLB flush
 	return nil
 }
@@ -242,22 +206,4 @@ func (b *Backend) Transition(core *hw.Core, to cap.OwnerID, fast bool) error {
 // RegisterFastPair implements backend.Backend; PMP has no fast path.
 func (b *Backend) RegisterFastPair(phys.CoreID, cap.OwnerID, cap.OwnerID) error {
 	return fmt.Errorf("%w: pmp backend has no VMFUNC analogue", backend.ErrNoFastPath)
-}
-
-// SyncDevice implements backend.Backend. The RISC-V platform model has
-// no IOMMU contexts per se; we model an equivalent bus filter so the
-// capability semantics match the vtx backend (differential tests rely
-// on identical accept/deny decisions).
-func (b *Backend) SyncDevice(dev phys.DeviceID) error {
-	filter, err := backend.BuildDeviceFilter(b.space, dev)
-	if err != nil {
-		return err
-	}
-	b.mach.IOMMU.Attach(dev, filter)
-	return nil
-}
-
-// ExecuteCleanups implements backend.Backend.
-func (b *Backend) ExecuteCleanups(acts []cap.CleanupAction) error {
-	return backend.RunCleanups(b.mach, acts)
 }

@@ -32,22 +32,13 @@ type domainState struct {
 
 // Backend is the VT-x enforcement backend.
 //
-// Concurrency contract: under the epoch scheme every monitor entry
-// holds the top-level lock shared, so domain creation can race
-// destruction at this layer. The domains map and nextASID carry their
-// own RWMutex (domMu); fastPairs is registered and consulted on the
-// shared path, so it carries another; per-domain context caches are
-// guarded by the domainState mutex. A domainState pointer read under
-// domMu.RLock stays valid after the unlock — RemoveDomain empties the
-// EPT rather than freeing it, so a racing reader's view degrades to
-// deny-all, never to a dangling table.
+// Concurrency contract: the domain table (Common) synchronises itself;
+// fastPairs is consulted on the monitor's shared path, so it carries its
+// own RWMutex; per-domain context caches are guarded by the domainState
+// mutex. RemoveDomain empties the EPT rather than freeing it, so a
+// racing reader's view degrades to deny-all, never to a dangling table.
 type Backend struct {
-	mach  *hw.Machine
-	space *cap.Space
-
-	domMu    sync.RWMutex
-	domains  map[cap.OwnerID]*domainState
-	nextASID uint64
+	backend.Common[domainState]
 
 	pairMu    sync.RWMutex
 	fastPairs map[fastKey]bool
@@ -68,70 +59,49 @@ func canonPair(core phys.CoreID, a, b cap.OwnerID) fastKey {
 // New returns a VT-x backend over mach and space.
 func New(mach *hw.Machine, space *cap.Space) *Backend {
 	return &Backend{
-		mach:      mach,
-		space:     space,
-		domains:   make(map[cap.OwnerID]*domainState),
+		Common:    backend.Common[domainState]{Mach: mach, Space: space},
 		fastPairs: make(map[fastKey]bool),
-		nextASID:  1,
 	}
 }
 
 // Name implements backend.Backend.
 func (b *Backend) Name() string { return "vtx" }
 
-// InstallDomain implements backend.Backend. The map insert holds domMu
-// exclusively; the initial sync runs after the unlock (SyncDomain
-// re-enters through state(), and the RWMutex is not reentrant).
+// InstallDomain implements backend.Backend.
 func (b *Backend) InstallDomain(owner cap.OwnerID) error {
-	b.domMu.Lock()
-	if _, ok := b.domains[owner]; ok {
-		b.domMu.Unlock()
-		return fmt.Errorf("vtx: domain %d already installed", owner)
+	err := b.AddDomain(owner, func(asid uint64) *domainState {
+		return &domainState{ept: hw.NewEPT(), asid: asid, ctxs: make(map[phys.CoreID]*hw.Context)}
+	})
+	if err != nil {
+		return fmt.Errorf("vtx: %w", err)
 	}
-	b.domains[owner] = &domainState{
-		ept:  hw.NewEPT(),
-		asid: b.nextASID,
-		ctxs: make(map[phys.CoreID]*hw.Context),
-	}
-	b.nextASID++
-	b.domMu.Unlock()
 	return b.SyncDomain(owner)
 }
 
-func (b *Backend) state(owner cap.OwnerID) (*domainState, error) {
-	b.domMu.RLock()
-	st, ok := b.domains[owner]
-	b.domMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", backend.ErrUnknownDomain, owner)
-	}
-	return st, nil
-}
-
 // SyncDomain implements backend.Backend: rebuild the domain's EPT from
-// its current effective capabilities.
+// its current effective capabilities and publish it in one store, so a
+// core running the domain meanwhile sees the old table or the new one,
+// never an empty one.
 func (b *Backend) SyncDomain(owner cap.OwnerID) error {
-	st, err := b.state(owner)
+	st, err := b.Domain(owner)
 	if err != nil {
 		return err
 	}
-	segs := backend.FlattenGrants(b.space.OwnerMemoryGrants(owner))
-	st.ept.Clear()
-	var pages uint64
-	for _, s := range segs {
-		if err := st.ept.Map(s.Region, s.Perm); err != nil {
-			return fmt.Errorf("vtx: syncing domain %d: %w", owner, err)
-		}
-		pages += s.Region.Pages()
-		b.mach.Trace(trace.GlobalCore, trace.KEPTMap, uint64(owner), 0, uint64(s.Perm), uint64(s.Region.Start), s.Region.Size())
+	segs := backend.FlattenGrants(b.Space.OwnerMemoryGrants(owner))
+	pages, err := st.ept.Replace(segs)
+	if err != nil {
+		return fmt.Errorf("vtx: syncing domain %d: %w", owner, err)
 	}
-	b.mach.Clock.Advance(pages * b.mach.Cost.EPTUpdatePage)
+	for _, s := range segs {
+		b.Mach.Trace(trace.GlobalCore, trace.KEPTMap, uint64(owner), 0, uint64(s.Perm), uint64(s.Region.Start), s.Region.Size())
+	}
+	b.Mach.Clock.Advance(uint64(pages) * b.Mach.Cost.EPTUpdatePage)
 	return nil
 }
 
 // RemoveDomain implements backend.Backend.
 func (b *Backend) RemoveDomain(owner cap.OwnerID) error {
-	st, err := b.state(owner)
+	st, err := b.Domain(owner)
 	if err != nil {
 		return err
 	}
@@ -139,10 +109,8 @@ func (b *Backend) RemoveDomain(owner cap.OwnerID) error {
 	// one of the domain's contexts installed (it died mid-run) keeps a
 	// pointer to this table, and an empty table denies every access.
 	st.ept.Clear()
-	b.mach.Trace(trace.GlobalCore, trace.KEPTClear, uint64(owner), 0, 0, 0, 0)
-	b.domMu.Lock()
-	delete(b.domains, owner)
-	b.domMu.Unlock()
+	b.Mach.Trace(trace.GlobalCore, trace.KEPTClear, uint64(owner), 0, 0, 0, 0)
+	b.DropDomain(owner)
 	b.pairMu.Lock()
 	for k := range b.fastPairs {
 		if k.a == owner || k.b == owner {
@@ -150,7 +118,7 @@ func (b *Backend) RemoveDomain(owner cap.OwnerID) error {
 		}
 	}
 	b.pairMu.Unlock()
-	for _, cpu := range b.mach.Cores {
+	for _, cpu := range b.Mach.Cores {
 		cpu.ClearVMFuncEntry(uint64(owner))
 	}
 	return nil
@@ -158,7 +126,7 @@ func (b *Backend) RemoveDomain(owner cap.OwnerID) error {
 
 // Context implements backend.Backend.
 func (b *Backend) Context(owner cap.OwnerID, core phys.CoreID) (*hw.Context, error) {
-	st, err := b.state(owner)
+	st, err := b.Domain(owner)
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +153,7 @@ func (b *Backend) Transition(core *hw.Core, to cap.OwnerID, fast bool) error {
 	if err != nil {
 		return err
 	}
-	cost := b.mach.Cost
+	cost := b.Mach.Cost
 	if fast {
 		var from cap.OwnerID
 		if cur := core.Context(); cur != nil {
@@ -197,11 +165,11 @@ func (b *Backend) Transition(core *hw.Core, to cap.OwnerID, fast bool) error {
 		if !ok {
 			return fmt.Errorf("%w: %d->%d on %v", backend.ErrNoFastPath, from, to, core.ID())
 		}
-		b.mach.Clock.Advance(cost.VMFunc)
+		b.Mach.Clock.Advance(cost.VMFunc)
 		core.SwitchContextTagged(ctx)
 		return nil
 	}
-	b.mach.Clock.Advance(cost.VMExit + cost.VMEntry)
+	b.Mach.Clock.Advance(cost.VMExit + cost.VMEntry)
 	core.InstallContext(ctx)
 	return nil
 }
@@ -213,16 +181,16 @@ func (b *Backend) Transition(core *hw.Core, to cap.OwnerID, fast bool) error {
 // can switch without any monitor involvement — the Hodor pattern §4.1
 // cites for its 100-cycle figure.
 func (b *Backend) RegisterFastPair(core phys.CoreID, a, bID cap.OwnerID) error {
-	if _, err := b.state(a); err != nil {
+	if _, err := b.Domain(a); err != nil {
 		return err
 	}
-	if _, err := b.state(bID); err != nil {
+	if _, err := b.Domain(bID); err != nil {
 		return err
 	}
 	b.pairMu.Lock()
 	b.fastPairs[canonPair(core, a, bID)] = true
 	b.pairMu.Unlock()
-	cpu := b.mach.Core(core)
+	cpu := b.Mach.Core(core)
 	if cpu == nil {
 		return fmt.Errorf("vtx: no core %v", core)
 	}
@@ -234,21 +202,4 @@ func (b *Backend) RegisterFastPair(core phys.CoreID, a, bID cap.OwnerID) error {
 		cpu.SetVMFuncEntry(uint64(owner), ctx)
 	}
 	return nil
-}
-
-// SyncDevice implements backend.Backend: program the device's IOMMU
-// context entry from capability state.
-func (b *Backend) SyncDevice(dev phys.DeviceID) error {
-	filter, err := backend.BuildDeviceFilter(b.space, dev)
-	if err != nil {
-		return err
-	}
-	b.mach.IOMMU.Attach(dev, filter)
-	return nil
-}
-
-// ExecuteCleanups implements backend.Backend: zero revoked memory, flush
-// caches, and shoot down TLBs as each action's policy demands.
-func (b *Backend) ExecuteCleanups(acts []cap.CleanupAction) error {
-	return backend.RunCleanups(b.mach, acts)
 }

@@ -234,6 +234,7 @@ func (m *Monitor) drainRingsParallel(workers int) (uint64, map[DomainID]ringDrai
 		m.ep.synchronizeShared(dc.maxPub, len(pend))
 		m.mach.BeginShootdownBatch()
 		affected := make(map[cap.OwnerID]bool)
+		var acts []cap.CleanupAction
 		for i, p := range pend {
 			if DrainBugArmed && i == 0 {
 				// Seeded mutation (drainbug build tag): the first ring's
@@ -251,9 +252,7 @@ func (m *Monitor) drainRingsParallel(workers int) (uint64, map[DomainID]ringDrai
 			} else if err := m.bk.ExecuteCleanups(p.det.Actions()); err != nil {
 				m.noteDrainError(err)
 			}
-			for _, o := range p.det.Owners() {
-				affected[o] = true
-			}
+			acts = append(acts, p.det.Actions()...)
 			for _, o := range p.det.ParentOwners() {
 				affected[o] = true
 			}
@@ -270,7 +269,7 @@ func (m *Monitor) drainRingsParallel(workers int) (uint64, map[DomainID]ringDrai
 			resync = append(resync, o)
 		}
 		sort.Slice(resync, func(i, j int) bool { return resync[i] < resync[j] })
-		if err := m.resyncAfterRevocation(nil, resync...); err != nil {
+		if err := m.resyncAfterRevocation(acts, resync...); err != nil {
 			m.noteDrainError(err)
 		}
 	}

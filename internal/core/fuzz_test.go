@@ -2,10 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 
+	"github.com/tyche-sim/tyche/internal/backend"
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/hw"
 	"github.com/tyche-sim/tyche/internal/phys"
@@ -68,6 +70,12 @@ func driveMonitorOps(tb testing.TB, m *Monitor, data []byte) {
 		}
 		return nodes[pick(len(nodes))]
 	}
+	// deviceOf reports the device a capability node names, so share and
+	// grant ops delegate DMA rights when they pick a device node.
+	deviceOf := func(id cap.NodeID) (cap.Resource, bool) {
+		info, err := m.space.Node(id)
+		return info.Resource, err == nil && info.Resource.Kind == cap.ResDevice
+	}
 	randRegion := func() cap.Resource {
 		start := uint64(next()) << 2 // 0..1020 pages, page-aligned
 		pages := uint64(pick(16) + 1)
@@ -105,11 +113,21 @@ func driveMonitorOps(tb testing.TB, m *Monitor, data []byte) {
 				}
 			}
 		case 1, 2, 3:
-			if id, err := m.Share(randDomain(), randNode(), randDomain(), randRegion(), cap.MemRW|cap.RightShare, cap.CleanZero); err == nil {
+			from, node, to, res := randDomain(), randNode(), randDomain(), randRegion()
+			rights, clean := cap.MemRW|cap.RightShare, cap.CleanZero
+			if dev, ok := deviceOf(node); ok {
+				res, rights, clean = dev, cap.RightUse|cap.RightDMA|cap.RightShare, cap.CleanNone
+			}
+			if id, err := m.Share(from, node, to, res, rights, clean); err == nil {
 				nodes = append(nodes, id)
 			}
 		case 4, 5:
-			if id, err := m.Grant(randDomain(), randNode(), randDomain(), randRegion(), cap.MemRW, cap.CleanObfuscate); err == nil {
+			from, node, to, res := randDomain(), randNode(), randDomain(), randRegion()
+			rights, clean := cap.MemRW, cap.CleanObfuscate
+			if dev, ok := deviceOf(node); ok {
+				res, rights, clean = dev, cap.RightUse|cap.RightDMA, cap.CleanNone
+			}
+			if id, err := m.Grant(from, node, to, res, rights, clean); err == nil {
 				nodes = append(nodes, id)
 			}
 		case 6:
@@ -314,6 +332,7 @@ func driveMonitorOps(tb testing.TB, m *Monitor, data []byte) {
 			}
 		}
 		steps++
+		checkDeviceFilters(tb, m)
 		if steps%32 == 0 {
 			checkIsolationInvariants(tb, m, domains)
 		}
@@ -352,6 +371,27 @@ func TestMonitorAPIFuzz(t *testing.T) {
 			driveMonitorOps(t, m, data)
 			assertTraceClean(t, m, ck)
 		})
+	}
+}
+
+// checkDeviceFilters is the device-filter oracle: every device's
+// attached IOMMU filter must equal one freshly built from the
+// capability space, so a scoped device resync never leaves a stale
+// filter behind.
+func checkDeviceFilters(t testing.TB, m *Monitor) {
+	t.Helper()
+	for _, dev := range m.mach.DeviceIDs() {
+		want, err := backend.BuildDeviceFilter(m.space, dev)
+		if err != nil {
+			t.Fatalf("device %v: %v", dev, err)
+		}
+		got, ok := m.mach.IOMMU.ContextOf(dev).(*hw.EPT)
+		if !ok {
+			t.Fatalf("device %v has no EPT filter attached", dev)
+		}
+		if g, w := got.Mappings(), want.Mappings(); !slices.Equal(g, w) {
+			t.Fatalf("device %v filter = %v, capability space gives %v", dev, g, w)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -817,7 +818,17 @@ func (m *Monitor) resyncAfterRevocation(acts []cap.CleanupAction, alsoSync ...ca
 			}
 		}
 	}
-	if err := m.syncAllDevices(); err != nil {
+	ids := make([]DomainID, 0, len(affected))
+	for o := range affected {
+		ids = append(ids, DomainID(o))
+	}
+	var devs []phys.DeviceID
+	for _, a := range acts {
+		if a.Resource.Kind == cap.ResDevice {
+			devs = append(devs, a.Resource.Device)
+		}
+	}
+	if err := m.syncDevicesFor(devs, ids...); err != nil {
 		return err
 	}
 	return m.syncEncryption()
@@ -856,15 +867,18 @@ func (m *Monitor) syncAfterChange(a, b *Domain, res cap.Resource) error {
 	// whose DMA holders include an affected domain can have changed —
 	// scoped, so delegations between device-less domains skip the
 	// global hardware lock entirely.
-	if err := m.syncDevicesFor(a.id, b.id); err != nil {
+	if err := m.syncDevicesFor(nil, a.id, b.id); err != nil {
 		return err
 	}
 	return m.syncEncryption()
 }
 
-// syncDevicesFor reprograms the IOMMU context of every device whose
-// DMA-holder set intersects the given domains.
-func (m *Monitor) syncDevicesFor(ids ...DomainID) error {
+// syncDevicesFor reprograms the IOMMU context of every device in devs
+// and of every device whose DMA-holder set intersects the given
+// domains. Delegation and revocation both scope their device resync
+// through it; a revoked device capability names its device in devs,
+// since its former holder is no longer in the holder set.
+func (m *Monitor) syncDevicesFor(devs []phys.DeviceID, ids ...DomainID) error {
 	intersects := func(holders []cap.OwnerID) bool {
 		for _, h := range holders {
 			for _, id := range ids {
@@ -877,7 +891,7 @@ func (m *Monitor) syncDevicesFor(ids ...DomainID) error {
 	}
 	var affected []phys.DeviceID
 	for _, dev := range m.mach.DeviceIDs() {
-		if intersects(m.space.DeviceDMAHolders(dev)) {
+		if slices.Contains(devs, dev) || intersects(m.space.DeviceDMAHolders(dev)) {
 			affected = append(affected, dev)
 		}
 	}
@@ -894,6 +908,7 @@ func (m *Monitor) syncDevicesFor(ids ...DomainID) error {
 	return nil
 }
 
+// syncAllDevices reprograms every device's IOMMU context (boot only).
 func (m *Monitor) syncAllDevices() error {
 	m.hwMu.Lock()
 	defer m.hwMu.Unlock()

@@ -176,9 +176,12 @@ type Fleet struct {
 
 	// cp is the control-plane machine hosting the digest-channel
 	// endpoints and the per-node remote verifiers.
-	cp   *Node
-	cpMu sync.Mutex // serializes receives into the CP's shared buffer
-	vers []*check.RemoteVerifier
+	cp *Node
+	// rdmaMu serialises every dist.Conn Send: each one stages frames
+	// in its two endpoints' agent .rdma buffers, which a node's digest
+	// channel and its migration channels share.
+	rdmaMu sync.Mutex
+	vers   []*check.RemoteVerifier
 
 	lb *LoadBalancer
 
@@ -383,8 +386,8 @@ func (f *Fleet) shipDigest(n *Node, raw []byte) error {
 	}
 	conn, ep := n.conn, n.ep
 	n.mu.Unlock()
-	f.cpMu.Lock()
-	defer f.cpMu.Unlock()
+	f.rdmaMu.Lock()
+	defer f.rdmaMu.Unlock()
 	got, err := conn.Send(ep, raw)
 	if err != nil {
 		return err

@@ -97,7 +97,9 @@ func (f *Fleet) Migrate(service string, from, to int, wire *dist.Wire) error {
 	if err != nil {
 		return abort("connect", err)
 	}
+	f.rdmaMu.Lock()
 	got, err := conn.Send(epSrc, payload)
+	f.rdmaMu.Unlock()
 	if err != nil {
 		// Lost or tampered in flight: nothing arrived, nothing was
 		// restored; the source keeps serving.

@@ -2,33 +2,62 @@ package hw
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"github.com/tyche-sim/tyche/internal/phys"
 )
 
+// Extent is one contiguous run of identically permissioned memory: the
+// unit both backends program (EPT tables, PMP entries).
+type Extent struct {
+	Region phys.Region
+	Perm   Perm
+}
+
+// appendExtent appends x to a sorted extent list, merging it into the
+// last extent when the two touch with equal permissions. PermNone and
+// empty extents are dropped.
+func appendExtent(out []Extent, x Extent) []Extent {
+	if x.Perm == PermNone || x.Region.Empty() {
+		return out
+	}
+	if n := len(out); n > 0 && out[n-1].Region.End == x.Region.Start && out[n-1].Perm == x.Perm {
+		out[n-1].Region.End = x.Region.End
+		return out
+	}
+	return append(out, x)
+}
+
+// eptTable is one immutable version of an EPT: sorted, disjoint,
+// maximally merged extents plus their page total.
+type eptTable struct {
+	ext   []Extent
+	pages int
+}
+
 // EPT models a second-level (nested) page table: the per-domain
-// access-control structure a VT-x backend programs. It maps physical
-// pages to permissions at page granularity. Because the monitor manages
-// physical names, the translation is identity and the EPT is purely an
-// access filter (§3.3: "memory virtualization provides a second level of
-// page tables to enforce memory access control at page granularity").
+// access-control structure a VT-x backend programs, page-granular and
+// identity-translating, so purely an access filter (§3.3).
 //
 // Cores walk the EPT while the monitor rebuilds it on another core, so
-// the page map is behind an RWMutex and the generation is atomic: a
-// reader never observes a torn update, and a generation bump publishes
-// each rebuild to the TLB/MRU coherence checks.
+// the table is an immutable extent list published copy-on-write:
+// readers binary-search whichever version they load, lock-free; writers
+// serialise on mu, store the next version, then bump the generation
+// once. The store precedes the bump, so a TLB entry stamped with the
+// new generation was always filled from the new table.
 type EPT struct {
-	mu    sync.RWMutex
-	pages map[uint64]Perm
-	gen   atomic.Uint64
+	mu  sync.Mutex // serialises writers
+	tab atomic.Pointer[eptTable]
+	gen atomic.Uint64
 }
 
 // NewEPT returns an empty EPT denying all access.
 func NewEPT() *EPT {
-	return &EPT{pages: make(map[uint64]Perm)}
+	e := &EPT{}
+	e.tab.Store(&eptTable{})
+	return e
 }
 
 // Check implements AccessFilter.
@@ -36,15 +65,38 @@ func (e *EPT) Check(a phys.Addr, want Perm) bool {
 	return e.Lookup(a).Allows(want)
 }
 
-// Lookup implements AccessFilter.
+// Lookup implements AccessFilter: a binary search of the current table.
 func (e *EPT) Lookup(a phys.Addr) Perm {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.pages[a.Page()]
+	ext := e.tab.Load().ext
+	lo, hi := 0, len(ext)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ext[mid].Region.End <= a {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(ext) && ext[lo].Region.Start <= a {
+		return ext[lo].Perm
+	}
+	return PermNone
 }
 
 // Generation implements AccessFilter.
 func (e *EPT) Generation() uint64 { return e.gen.Load() }
+
+// publish installs ext as the current table (writer mutex held): one
+// pointer store, then one generation bump. Returns the mapped pages.
+func (e *EPT) publish(ext []Extent) int {
+	t := &eptTable{ext: ext}
+	for _, x := range ext {
+		t.pages += int(x.Region.Pages())
+	}
+	e.tab.Store(t)
+	e.gen.Add(1)
+	return t.pages
+}
 
 // Map sets the permission for every page of region r, replacing any
 // previous permission. r must be page-aligned.
@@ -53,15 +105,21 @@ func (e *EPT) Map(r phys.Region, p Perm) error {
 		return fmt.Errorf("hw: ept map: %w", err)
 	}
 	e.mu.Lock()
-	for pg := r.Start.Page(); pg < r.End.Page(); pg++ {
-		if p == PermNone {
-			delete(e.pages, pg)
-		} else {
-			e.pages[pg] = p
+	defer e.mu.Unlock()
+	old := e.tab.Load().ext
+	var out []Extent
+	for _, x := range old {
+		if x.Region.Start < r.Start {
+			out = appendExtent(out, Extent{phys.Region{Start: x.Region.Start, End: min(x.Region.End, r.Start)}, x.Perm})
 		}
 	}
-	e.mu.Unlock()
-	e.gen.Add(1)
+	out = appendExtent(out, Extent{r, p})
+	for _, x := range old {
+		if x.Region.End > r.End {
+			out = appendExtent(out, Extent{phys.Region{Start: max(x.Region.Start, r.End), End: x.Region.End}, x.Perm})
+		}
+	}
+	e.publish(out)
 	return nil
 }
 
@@ -71,52 +129,34 @@ func (e *EPT) Unmap(r phys.Region) error { return e.Map(r, PermNone) }
 // Clear removes every mapping.
 func (e *EPT) Clear() {
 	e.mu.Lock()
-	e.pages = make(map[uint64]Perm)
-	e.mu.Unlock()
-	e.gen.Add(1)
+	defer e.mu.Unlock()
+	e.publish(nil)
+}
+
+// Replace publishes ext as the whole table in one store with one
+// generation bump, so a concurrent reader sees the previous table or
+// this one, never a mix or an empty interval, and returns the pages it
+// maps. ext must be ascending, non-overlapping and page-aligned; it is
+// copied, dropping PermNone extents and merging touching equal ones.
+func (e *EPT) Replace(ext []Extent) (int, error) {
+	var out []Extent
+	for i, x := range ext {
+		if err := x.Region.Validate(); err != nil {
+			return 0, fmt.Errorf("hw: ept replace: %w", err)
+		}
+		if i > 0 && x.Region.Start < ext[i-1].Region.End {
+			return 0, fmt.Errorf("hw: ept replace: %v overlaps or precedes %v", x, ext[i-1])
+		}
+		out = appendExtent(out, x)
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.publish(out), nil
 }
 
 // MappedPages returns the number of pages with any permission.
-func (e *EPT) MappedPages() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.pages)
-}
+func (e *EPT) MappedPages() int { return e.tab.Load().pages }
 
-// Mappings returns the EPT contents as maximal runs of identically
-// permissioned pages, in address order. Used for attestation enumeration
-// and debugging dumps.
-func (e *EPT) Mappings() []EPTMapping {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if len(e.pages) == 0 {
-		return nil
-	}
-	pgs := make([]uint64, 0, len(e.pages))
-	for pg := range e.pages {
-		pgs = append(pgs, pg)
-	}
-	sort.Slice(pgs, func(i, j int) bool { return pgs[i] < pgs[j] })
-	var out []EPTMapping
-	for _, pg := range pgs {
-		p := e.pages[pg]
-		start := phys.Addr(pg << phys.PageShift)
-		if n := len(out); n > 0 && out[n-1].Region.End == start && out[n-1].Perm == p {
-			out[n-1].Region.End += phys.PageSize
-			continue
-		}
-		out = append(out, EPTMapping{
-			Region: phys.Region{Start: start, End: start + phys.PageSize},
-			Perm:   p,
-		})
-	}
-	return out
-}
-
-// EPTMapping is one contiguous run of identically permissioned pages.
-type EPTMapping struct {
-	Region phys.Region
-	Perm   Perm
-}
-
-func (m EPTMapping) String() string { return fmt.Sprintf("%v %v", m.Region, m.Perm) }
+// Mappings returns a copy of the table: maximal runs of identically
+// permissioned pages in address order, nil when empty.
+func (e *EPT) Mappings() []Extent { return slices.Clone(e.tab.Load().ext) }

@@ -94,22 +94,30 @@ func IsNAPOT(r phys.Region) bool {
 // Program writes entry i. Fails if i is out of range, the entry is
 // locked, the region is invalid, or NAPOT-only mode rejects the shape.
 func (p *PMP) Program(i int, r phys.Region, perm Perm) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := p.checkProgram(i, r); err != nil {
+		return err
+	}
+	p.entries[i] = PMPEntry{Region: r, Perm: perm, used: true}
+	p.gen.Add(1)
+	return nil
+}
+
+// checkProgram reports why entry i cannot hold r (p.mu held).
+func (p *PMP) checkProgram(i int, r phys.Region) error {
 	if i < 0 || i >= len(p.entries) {
 		return fmt.Errorf("hw: pmp entry %d out of range (have %d)", i, len(p.entries))
 	}
 	if err := r.Validate(); err != nil {
 		return fmt.Errorf("hw: pmp program: %w", err)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.entries[i].Locked {
 		return fmt.Errorf("hw: pmp entry %d is locked", i)
 	}
 	if p.napotOnly && !IsNAPOT(r) {
 		return fmt.Errorf("hw: pmp entry %d: region %v not NAPOT-encodable", i, r)
 	}
-	p.entries[i] = PMPEntry{Region: r, Perm: perm, used: true}
-	p.gen.Add(1)
 	return nil
 }
 
@@ -146,8 +154,22 @@ func (p *PMP) Lock(i int) error {
 // ClearAll deprograms every unlocked entry. Returns the number of
 // entries cleared (callers charge PMPWrite cost per entry).
 func (p *PMP) ClearAll() int {
+	n, _ := p.Reprogram(0, nil)
+	return n
+}
+
+// Reprogram clears every unlocked entry and writes ext into entries
+// first, first+1, ... in one lock hold, after validating all of it: a
+// core checking accesses meanwhile sees the old layout or the new one,
+// never the cleared file. Returns the number of entries cleared.
+func (p *PMP) Reprogram(first int, ext []Extent) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	for i, x := range ext {
+		if err := p.checkProgram(first+i, x.Region); err != nil {
+			return 0, err
+		}
+	}
 	n := 0
 	for i := range p.entries {
 		if p.entries[i].used && !p.entries[i].Locked {
@@ -155,10 +177,13 @@ func (p *PMP) ClearAll() int {
 			n++
 		}
 	}
-	if n > 0 {
+	for i, x := range ext {
+		p.entries[first+i] = PMPEntry{Region: x.Region, Perm: x.Perm, used: true}
+	}
+	if n > 0 || len(ext) > 0 {
 		p.gen.Add(1)
 	}
-	return n
+	return n, nil
 }
 
 // Check implements AccessFilter: the lowest-indexed matching entry

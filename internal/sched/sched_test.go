@@ -111,9 +111,9 @@ func TestWorkStealing(t *testing.T) {
 // the dead domain.
 func TestPurgeDomain(t *testing.T) {
 	s := New(Policy{}, cores(0))
-	s.Add(9, 0) // becomes the frame holder below
-	s.Add(8, 0) // the survivor
-	s.Add(7, 0) // runs the doomed domain directly
+	s.Add(9, 0)       // becomes the frame holder below
+	s.Add(8, 0)       // the survivor
+	s.Add(7, 0)       // runs the doomed domain directly
 	v, _ := s.Next(0) // pops domain 9
 	// Simulate a mediated call chain: domain 9 called into 7 and was
 	// preempted with 7's frame on its stack.
