@@ -12,9 +12,10 @@
 package backend
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"github.com/tyche-sim/tyche/internal/cap"
@@ -174,7 +175,7 @@ func FlattenGrants(grants []cap.MemoryGrant) []hw.Extent {
 		perm  hw.Perm
 		delta int // +1 opens a grant, -1 closes it
 	}
-	var events []ev
+	events := make([]ev, 0, 2*len(grants))
 	for _, g := range grants {
 		p := RightsToPerm(g.Rights)
 		if p == hw.PermNone || g.Region.Empty() {
@@ -184,11 +185,11 @@ func FlattenGrants(grants []cap.MemoryGrant) []hw.Extent {
 	}
 	// Sweep with a count of open grants per permission set; close
 	// before open at equal points.
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].at != events[j].at {
-			return events[i].at < events[j].at
+	slices.SortFunc(events, func(a, b ev) int {
+		if a.at != b.at {
+			return cmp.Compare(a.at, b.at)
 		}
-		return events[i].delta < events[j].delta
+		return cmp.Compare(a.delta, b.delta)
 	})
 	var counts [hw.PermRWX + 1]int
 	var out []hw.Extent

@@ -1,6 +1,6 @@
 package cap
 
-import "sort"
+import "slices"
 
 // Two-phase revocation for the monitor's epoch-based reclamation scheme.
 //
@@ -73,20 +73,13 @@ func (d *Detached) ParentOwners() []OwnerID {
 	if d == nil || len(d.parents) == 0 {
 		return nil
 	}
-	seen := make(map[OwnerID]bool, len(d.parents))
-	out := make([]OwnerID, 0, len(d.parents))
-	for _, o := range d.parents {
-		if !seen[o] {
-			seen[o] = true
-			out = append(out, o)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	out := slices.Clone(d.parents)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // detachSubtree walks children-first, removing every node from the
-// index and marking it detached, without touching any lineage link.
+// indexes and marking it detached, without touching any lineage link.
 // Caller holds the structural writer lock.
 func (s *Space) detachSubtree(n *node, det *Detached) {
 	for _, c := range n.children {
@@ -95,8 +88,7 @@ func (s *Space) detachSubtree(n *node, det *Detached) {
 		}
 		s.detachSubtree(c, det)
 	}
-	n.detached = true
-	s.remove(n.id)
+	s.remove(n)
 	det.all = append(det.all, n)
 	det.actions = append(det.actions, CleanupAction{
 		Node: n.id, Owner: n.owner, Resource: n.res, Cleanup: n.cleanup,
@@ -120,6 +112,7 @@ func (s *Space) Detach(id NodeID) (*Detached, error) {
 	if n.parent != nil && !n.parent.detached {
 		det.parents = append(det.parents, n.parent.owner)
 	}
+	s.compact(det.actions)
 	s.limbo.Add(int64(len(det.all)))
 	s.mutate()
 	return det, nil
@@ -133,32 +126,11 @@ func (s *Space) DetachOwner(owner OwnerID) *Detached {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	det := &Detached{}
-	// Collect tops first: the walk mutates the node index.
-	var tops []*node
-	s.nodes.Range(func(_, v any) bool {
-		n := v.(*node)
-		if n.owner == owner {
-			// Skip nodes whose ancestor is also being detached; the
-			// subtree walk will reach them.
-			anc := n.parent
-			covered := false
-			for anc != nil {
-				if anc.owner == owner {
-					covered = true
-					break
-				}
-				anc = anc.parent
-			}
-			if !covered {
-				tops = append(tops, n)
-			}
-		}
-		return true
-	})
-	sort.Slice(tops, func(i, j int) bool { return tops[i].id < tops[j].id })
-	for _, n := range tops {
-		if _, ok := s.nodes.Load(n.id); !ok {
-			continue // already detached via an earlier top's subtree
+	// As in RevokeOwner, ID order reaches every top before its
+	// descendants.
+	for _, n := range s.owned(owner) {
+		if n.detached {
+			continue
 		}
 		s.detachSubtree(n, det)
 		det.tops = append(det.tops, n)
@@ -167,6 +139,7 @@ func (s *Space) DetachOwner(owner OwnerID) *Detached {
 		}
 	}
 	if len(det.actions) > 0 {
+		s.compact(det.actions)
 		s.mutate()
 	}
 	s.sealed.Delete(owner)

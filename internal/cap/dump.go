@@ -1,8 +1,9 @@
 package cap
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -15,13 +16,14 @@ func (s *Space) TreeString() string {
 	defer s.mu.RUnlock()
 	defer s.rlockAll()()
 	var roots []*node
-	s.nodes.Range(func(_, v any) bool {
-		if n := v.(*node); n.parent == nil {
-			roots = append(roots, n)
+	s.eachOwner(func(_ OwnerID, nodes []*node) {
+		for _, n := range nodes {
+			if n.parent == nil {
+				roots = append(roots, n)
+			}
 		}
-		return true
 	})
-	sort.Slice(roots, func(i, j int) bool { return roots[i].id < roots[j].id })
+	slices.SortFunc(roots, func(a, b *node) int { return cmp.Compare(a.id, b.id) })
 	var b strings.Builder
 	for _, r := range roots {
 		s.writeNode(&b, r, 0)
@@ -40,9 +42,7 @@ func (s *Space) writeNode(b *strings.Builder, n *node, depth int) {
 		fmt.Fprintf(b, " cleanup=%v", n.cleanup)
 	}
 	b.WriteByte('\n')
-	children := append([]*node(nil), n.children...)
-	sort.Slice(children, func(i, j int) bool { return children[i].id < children[j].id })
-	for _, c := range children {
+	for _, c := range n.children {
 		s.writeNode(b, c, depth+1)
 	}
 }

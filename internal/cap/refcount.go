@@ -1,8 +1,9 @@
 package cap
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/tyche-sim/tyche/internal/phys"
@@ -42,37 +43,32 @@ func (s *Space) RefCounts() []RegionCount {
 // refCounts requires the sweep lock (all shards) or the structural
 // writer lock.
 func (s *Space) refCounts() []RegionCount {
-	// Per-owner union of effective coverage (a single owner holding two
-	// overlapping capabilities still counts once).
-	perOwner := make(map[OwnerID][]phys.Region)
-	s.nodes.Range(func(_, v any) bool {
-		n := v.(*node)
-		if n.res.Kind != ResMemory {
-			return true
-		}
-		perOwner[n.owner] = append(perOwner[n.owner], s.effectiveRegions(n)...)
-		return true
-	})
 	type event struct {
 		at    phys.Addr
 		owner OwnerID
-		open  bool
+		delta int // +1 opens the owner's run, -1 closes it
 	}
 	var events []event
-	for o, regs := range perOwner {
-		for _, r := range phys.NormalizeRegions(regs) {
-			events = append(events, event{r.Start, o, true}, event{r.End, o, false})
+	// Per-owner union of effective coverage (a single owner holding two
+	// overlapping capabilities still counts once).
+	s.eachOwner(func(o OwnerID, nodes []*node) {
+		var regs []phys.Region
+		for _, n := range nodes {
+			regs = appendEffective(regs, n)
 		}
-	}
+		for _, r := range phys.NormalizeRegions(regs) {
+			events = append(events, event{r.Start, o, 1}, event{r.End, o, -1})
+		}
+	})
 	if len(events) == 0 {
 		return nil
 	}
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].at != events[j].at {
-			return events[i].at < events[j].at
+	slices.SortFunc(events, func(a, b event) int {
+		if a.at != b.at {
+			return cmp.Compare(a.at, b.at)
 		}
 		// Close before open at the same address so adjacency is exact.
-		return !events[i].open && events[j].open
+		return cmp.Compare(a.delta, b.delta)
 	})
 	active := make(map[OwnerID]bool)
 	var out []RegionCount
@@ -85,9 +81,9 @@ func (s *Space) refCounts() []RegionCount {
 		for o := range active {
 			owners = append(owners, o)
 		}
-		sort.Slice(owners, func(i, j int) bool { return owners[i] < owners[j] })
+		slices.Sort(owners)
 		seg := RegionCount{Region: phys.Region{Start: prev, End: upto}, Count: len(owners), Owners: owners}
-		if n := len(out); n > 0 && out[n-1].Region.End == seg.Region.Start && sameOwners(out[n-1].Owners, owners) {
+		if n := len(out); n > 0 && out[n-1].Region.End == seg.Region.Start && slices.Equal(out[n-1].Owners, owners) {
 			out[n-1].Region.End = seg.Region.End
 			return
 		}
@@ -96,7 +92,7 @@ func (s *Space) refCounts() []RegionCount {
 	for _, e := range events {
 		flush(e.at)
 		prev = e.at
-		if e.open {
+		if e.delta > 0 {
 			active[e.owner] = true
 		} else {
 			delete(active, e.owner)
@@ -105,39 +101,22 @@ func (s *Space) refCounts() []RegionCount {
 	return out
 }
 
-func sameOwners(a, b []OwnerID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // RefCountAt returns the number of distinct owners with effective access
 // at address a.
 func (s *Space) RefCountAt(a phys.Addr) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	defer s.rlockAll()()
-	owners := make(map[OwnerID]bool)
-	s.nodes.Range(func(_, v any) bool {
-		n := v.(*node)
-		if n.res.Kind != ResMemory || owners[n.owner] || !n.res.Mem.Contains(a) {
-			return true
-		}
-		for _, r := range s.effectiveRegions(n) {
-			if r.Contains(a) {
-				owners[n.owner] = true
-				break
+	count := 0
+	s.eachOwner(func(_ OwnerID, nodes []*node) {
+		for _, n := range nodes {
+			if effectiveContains(n, a) {
+				count++
+				return
 			}
 		}
-		return true
 	})
-	return len(owners)
+	return count
 }
 
 // RegionRefCount returns the maximum reference count over any byte of r
@@ -159,15 +138,16 @@ func (s *Space) CoreRefCount(core phys.CoreID) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	defer s.rlockAll()()
-	owners := make(map[OwnerID]bool)
-	s.nodes.Range(func(_, v any) bool {
-		n := v.(*node)
-		if n.res.Kind == ResCore && n.res.Core == core && n.rights.Has(RightRun) && !s.coreGrantedAway(n) {
-			owners[n.owner] = true
+	count := 0
+	s.eachOwner(func(_ OwnerID, nodes []*node) {
+		for _, n := range nodes {
+			if n.res.Kind == ResCore && n.res.Core == core && n.rights.Has(RightRun) && !grantedAway(n) {
+				count++
+				return
+			}
 		}
-		return true
 	})
-	return len(owners)
+	return count
 }
 
 // DeviceRefCount returns the number of distinct owners holding RightUse
@@ -195,28 +175,15 @@ func (s *Space) deviceHolders(dev phys.DeviceID, want Rights) []OwnerID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	defer s.rlockAll()()
-	set := make(map[OwnerID]bool)
-	s.nodes.Range(func(_, v any) bool {
-		n := v.(*node)
-		if n.res.Kind != ResDevice || n.res.Device != dev || !n.rights.Has(want) {
-			return true
-		}
-		granted := false
-		for _, c := range n.children {
-			if c.kind == KindGranted && c.res.Kind == ResDevice && c.res.Device == dev {
-				granted = true
-				break
+	out := []OwnerID{}
+	s.eachOwner(func(o OwnerID, nodes []*node) {
+		for _, n := range nodes {
+			if n.res.Kind == ResDevice && n.res.Device == dev && n.rights.Has(want) && !grantedAway(n) {
+				out = append(out, o)
+				return
 			}
 		}
-		if !granted {
-			set[n.owner] = true
-		}
-		return true
 	})
-	out := make([]OwnerID, 0, len(set))
-	for o := range set {
-		out = append(out, o)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

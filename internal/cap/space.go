@@ -1,9 +1,10 @@
 package cap
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -54,10 +55,12 @@ var (
 
 type node struct {
 	// id, owner, res, rights, cleanup, kind, and parent are immutable
-	// after creation; children is guarded by the owner's shard lock.
-	// detached marks a node removed from the index by a two-phase
-	// revocation but not yet released (detach.go); it is written only
-	// under the structural writer lock.
+	// after creation; children is guarded by the owner's shard lock and
+	// stays in ID order (IDs are drawn under that lock, and removals
+	// keep order). detached marks a node removed from the indexes, by
+	// Revoke or by a two-phase revocation whose subtree is not yet
+	// released (detach.go); it is written only under the structural
+	// writer lock.
 	id       NodeID
 	owner    OwnerID
 	res      Resource
@@ -99,6 +102,14 @@ func (a CleanupAction) String() string {
 // must stay a power of two.
 const numShards = 16
 
+// ownerShard is one owner shard: the lock guarding its owners' nodes
+// and seal flags, and the owner index — each owner's live nodes in
+// ascending ID order.
+type ownerShard struct {
+	sync.RWMutex
+	owned map[OwnerID][]*node
+}
+
 // Space is the system-wide capability state: every capability of every
 // trust domain lives in one lineage forest rooted at the boot-time
 // capabilities.
@@ -120,13 +131,18 @@ const numShards = 16
 //     hold every shard shared, which excludes in-flight delegations
 //     and yields a consistent snapshot without the writer lock.
 //
-// Identity lookups go through a lock-free node index (sync.Map);
-// generation, op, and node counters are atomics. The lock order is
-// mu before shards, shards in ascending index; no Space lock is ever
-// held across a call out of the package.
+// Every per-owner query walks the owner index: the owner's shard keeps
+// its live nodes in ID order. A node joins its owner's list under the
+// owner's shard write lock, where its ID is drawn, so appending keeps
+// the order. Nodes leave under the structural writer lock: a revoke
+// walk only marks them detached, then one compaction pass per affected
+// owner drops them. Identity lookups go through a lock-free node index
+// (sync.Map) used for nothing else; generation, op, and node counters
+// are atomics. The lock order is mu before shards, shards in ascending
+// index; no Space lock is ever held across a call out of the package.
 type Space struct {
 	mu     sync.RWMutex // structural: exclusive for revoke paths only
-	shards [numShards]sync.RWMutex
+	shards [numShards]ownerShard
 
 	nodes  sync.Map // NodeID -> *node
 	sealed sync.Map // OwnerID -> bool
@@ -170,11 +186,13 @@ func (s *Space) lockOwners(owners ...OwnerID) func() {
 	}
 }
 
-// rlockOwner read-locks one owner's shard.
-func (s *Space) rlockOwner(o OwnerID) func() {
+// rlockOwner read-locks one owner's shard and returns it; callers
+// release it with RUnlock (a method call, so deferring it does not
+// allocate a closure on the access-check path).
+func (s *Space) rlockOwner(o OwnerID) *ownerShard {
 	sh := &s.shards[shardFor(o)]
 	sh.RLock()
-	return sh.RUnlock
+	return sh
 }
 
 // rlockAll read-locks every shard in ascending order — the sweep lock
@@ -207,14 +225,62 @@ func (s *Space) isSealed(o OwnerID) bool {
 	return ok && v.(bool)
 }
 
+// insert indexes a new node; the caller holds its owner's shard write
+// lock and drew n.id under it.
 func (s *Space) insert(n *node) {
+	sh := &s.shards[shardFor(n.owner)]
+	if sh.owned == nil {
+		sh.owned = make(map[OwnerID][]*node)
+	}
+	sh.owned[n.owner] = append(sh.owned[n.owner], n)
 	s.nodes.Store(n.id, n)
 	s.numNodes.Add(1)
 }
 
-func (s *Space) remove(id NodeID) {
-	s.nodes.Delete(id)
+// remove takes n out of the identity index and marks it detached. The
+// caller holds the structural writer lock and calls compact once its
+// walk is done.
+func (s *Space) remove(n *node) {
+	n.detached = true
+	s.nodes.Delete(n.id)
 	s.numNodes.Add(-1)
+}
+
+// compact drops detached nodes from the owner index, one pass per
+// owner named in acts. The caller holds the structural writer lock.
+func (s *Space) compact(acts []CleanupAction) {
+	done := make(map[OwnerID]bool)
+	for _, a := range acts {
+		if done[a.Owner] {
+			continue
+		}
+		done[a.Owner] = true
+		sh := &s.shards[shardFor(a.Owner)]
+		list := sh.owned[a.Owner]
+		live := slices.DeleteFunc(list, func(n *node) bool { return n.detached })
+		if len(live) == 0 {
+			delete(sh.owned, a.Owner)
+		} else {
+			sh.owned[a.Owner] = live
+		}
+	}
+}
+
+// owned returns owner's live nodes in ID order. The caller holds the
+// owner's shard or the structural writer lock, and must not retain
+// the slice past it.
+func (s *Space) owned(owner OwnerID) []*node {
+	return s.shards[shardFor(owner)].owned[owner]
+}
+
+// eachOwner calls f with every owner's live nodes; the caller holds the
+// sweep lock (all shards) or the structural writer lock.
+func (s *Space) eachOwner(f func(OwnerID, []*node)) {
+	for i := range s.shards {
+		for o, nodes := range s.shards[i].owned {
+			f(o, nodes)
+		}
+	}
 }
 
 // CreateRoot mints a root capability for owner. Only the monitor calls
@@ -292,18 +358,13 @@ func (s *Space) derive(id NodeID, newOwner OwnerID, sub Resource, rights Rights,
 	// region: what the parent granted away is not the parent's to
 	// delegate again until revoked.
 	if sub.Kind == ResMemory {
-		if !regionCovered(sub.Mem, s.effectiveRegions(parent)) {
+		if !regionCovered(sub.Mem, appendEffective(nil, parent)) {
 			return 0, fmt.Errorf("%w: %v already granted away from %v", ErrSubresource, sub.Mem, parent.res)
 		}
-	} else if k == KindGranted {
+	} else if k == KindGranted && grantedAway(parent) {
 		// Granting a core or device suspends the parent's use entirely;
 		// re-granting an already-granted core/device is invalid.
-		for _, c := range parent.children {
-			if c.kind == KindGranted && c.res.Kind == sub.Kind &&
-				c.res.Core == sub.Core && c.res.Device == sub.Device {
-				return 0, fmt.Errorf("%w: %v already granted away", ErrSubresource, sub)
-			}
-		}
+		return 0, fmt.Errorf("%w: %v already granted away", ErrSubresource, sub)
 	}
 	n := &node{
 		id: NodeID(s.nextID.Add(1) - 1), owner: newOwner, res: sub, rights: rights,
@@ -349,6 +410,7 @@ func (s *Space) Revoke(id NodeID) ([]CleanupAction, error) {
 	if n.parent != nil {
 		n.parent.children = removeChild(n.parent.children, n)
 	}
+	s.compact(actions)
 	s.mutate()
 	return actions, nil
 }
@@ -361,7 +423,7 @@ func (s *Space) revokeSubtree(n *node, actions *[]CleanupAction) {
 		s.revokeSubtree(c, actions)
 	}
 	n.children = nil
-	s.remove(n.id)
+	s.remove(n)
 	*actions = append(*actions, CleanupAction{
 		Node: n.id, Owner: n.owner, Resource: n.res, Cleanup: n.cleanup,
 	})
@@ -374,32 +436,12 @@ func (s *Space) RevokeOwner(owner OwnerID) []CleanupAction {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var actions []CleanupAction
-	// Collect first: revocation mutates the node index.
-	var tops []*node
-	s.nodes.Range(func(_, v any) bool {
-		n := v.(*node)
-		if n.owner == owner {
-			// Skip nodes whose ancestor is also being revoked; the
-			// subtree walk will reach them.
-			anc := n.parent
-			covered := false
-			for anc != nil {
-				if anc.owner == owner {
-					covered = true
-					break
-				}
-				anc = anc.parent
-			}
-			if !covered {
-				tops = append(tops, n)
-			}
-		}
-		return true
-	})
-	sort.Slice(tops, func(i, j int) bool { return tops[i].id < tops[j].id })
-	for _, n := range tops {
-		if _, ok := s.nodes.Load(n.id); !ok {
-			continue // already revoked via an earlier top's subtree
+	// In ID order an ancestor comes before its descendants, so a node
+	// under another of owner's nodes is already detached by the
+	// ancestor's subtree walk when the loop reaches it.
+	for _, n := range s.owned(owner) {
+		if n.detached {
+			continue
 		}
 		s.revokeSubtree(n, &actions)
 		if n.parent != nil {
@@ -407,6 +449,7 @@ func (s *Space) RevokeOwner(owner OwnerID) []CleanupAction {
 		}
 	}
 	if len(actions) > 0 {
+		s.compact(actions)
 		s.mutate()
 	}
 	s.sealed.Delete(owner)
@@ -445,7 +488,7 @@ func (s *Space) Node(id NodeID) (Info, error) {
 	if err != nil {
 		return Info{}, err
 	}
-	defer s.rlockOwner(n.owner)()
+	defer s.rlockOwner(n.owner).RUnlock()
 	return s.info(n), nil
 }
 
@@ -464,7 +507,6 @@ func (s *Space) info(n *node) Info {
 		}
 		inf.Children = append(inf.Children, c.id)
 	}
-	sort.Slice(inf.Children, func(i, j int) bool { return inf.Children[i] < inf.Children[j] })
 	return inf
 }
 
@@ -473,37 +515,73 @@ func (s *Space) info(n *node) Info {
 func (s *Space) OwnerNodes(owner OwnerID) []Info {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	defer s.rlockOwner(owner)()
+	defer s.rlockOwner(owner).RUnlock()
 	var out []Info
-	s.nodes.Range(func(_, v any) bool {
-		if n := v.(*node); n.owner == owner {
-			out = append(out, s.info(n))
-		}
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	for _, n := range s.owned(owner) {
+		out = append(out, s.info(n))
+	}
 	return out
 }
 
-// effectiveRegions returns the memory the node actually confers access
-// to: its region minus every active granted-out child region. The
-// caller holds the node's owner shard (or the structural writer lock).
-func (s *Space) effectiveRegions(n *node) []phys.Region {
-	if n.res.Kind != ResMemory {
-		return nil
+// grantedAway reports whether n has an active granted child over its
+// own core or device; limbo children still count, since a grant
+// suspension persists until Release. Memory grants are handled by
+// appendEffective and effectiveContains instead.
+func grantedAway(n *node) bool {
+	if n.res.Kind == ResMemory {
+		return false
 	}
-	regs := []phys.Region{n.res.Mem}
 	for _, c := range n.children {
-		if c.kind != KindGranted || c.res.Kind != ResMemory {
-			continue
+		if c.kind == KindGranted && n.res.ContainsResource(c.res) {
+			return true
 		}
-		var next []phys.Region
-		for _, r := range regs {
-			next = append(next, r.Subtract(c.res.Mem)...)
-		}
-		regs = next
 	}
-	return phys.NormalizeRegions(regs)
+	return false
+}
+
+func isMemGrant(c *node) bool { return c.kind == KindGranted && c.res.Kind == ResMemory }
+
+// appendEffective appends to dst, normalized, the memory n actually
+// confers access to: the gaps its granted memory children leave in its
+// region. The caller holds the node's owner shard (or the structural
+// writer lock).
+func appendEffective(dst []phys.Region, n *node) []phys.Region {
+	if n.res.Kind != ResMemory {
+		return dst
+	}
+	var buf [8]phys.Region
+	cuts := buf[:0]
+	for _, c := range n.children {
+		if isMemGrant(c) {
+			cuts = append(cuts, c.res.Mem)
+		}
+	}
+	slices.SortFunc(cuts, func(a, b phys.Region) int { return cmp.Compare(a.Start, b.Start) })
+	at, end := n.res.Mem.Start, n.res.Mem.End
+	for _, c := range cuts {
+		if c.Start > at {
+			dst = append(dst, phys.Region{Start: at, End: c.Start})
+		}
+		at = max(at, c.End)
+	}
+	if at < end {
+		dst = append(dst, phys.Region{Start: at, End: end})
+	}
+	return dst
+}
+
+// effectiveContains reports whether a lies in n's effective memory,
+// without materialising it.
+func effectiveContains(n *node, a phys.Addr) bool {
+	if n.res.Kind != ResMemory || !n.res.Mem.Contains(a) {
+		return false
+	}
+	for _, c := range n.children {
+		if isMemGrant(c) && c.res.Mem.Contains(a) {
+			return false
+		}
+	}
+	return true
 }
 
 // EffectiveRegions returns the node's effective memory regions.
@@ -514,8 +592,8 @@ func (s *Space) EffectiveRegions(id NodeID) ([]phys.Region, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer s.rlockOwner(n.owner)()
-	return s.effectiveRegions(n), nil
+	defer s.rlockOwner(n.owner).RUnlock()
+	return appendEffective(nil, n), nil
 }
 
 // regionCovered reports whether want lies entirely within the union of
@@ -534,16 +612,13 @@ func regionCovered(want phys.Region, regs []phys.Region) bool {
 func (s *Space) OwnerMemory(owner OwnerID, want Rights) []phys.Region {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	defer s.rlockOwner(owner)()
+	defer s.rlockOwner(owner).RUnlock()
 	var regs []phys.Region
-	s.nodes.Range(func(_, v any) bool {
-		n := v.(*node)
-		if n.owner != owner || n.res.Kind != ResMemory || !n.rights.Has(want) {
-			return true
+	for _, n := range s.owned(owner) {
+		if n.rights.Has(want) {
+			regs = appendEffective(regs, n)
 		}
-		regs = append(regs, s.effectiveRegions(n)...)
-		return true
-	})
+	}
 	return phys.NormalizeRegions(regs)
 }
 
@@ -557,28 +632,21 @@ type MemoryGrant struct {
 }
 
 // OwnerMemoryGrants returns owner's effective per-capability memory
-// access, ordered by node ID.
+// access, ordered by node ID, then address: the owner index and
+// effective regions are both already in that order.
 func (s *Space) OwnerMemoryGrants(owner OwnerID) []MemoryGrant {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	defer s.rlockOwner(owner)()
-	var out []MemoryGrant
-	s.nodes.Range(func(_, v any) bool {
-		n := v.(*node)
-		if n.owner != owner || n.res.Kind != ResMemory {
-			return true
-		}
-		for _, r := range s.effectiveRegions(n) {
+	defer s.rlockOwner(owner).RUnlock()
+	nodes := s.owned(owner)
+	out := make([]MemoryGrant, 0, len(nodes))
+	var regs []phys.Region
+	for _, n := range nodes {
+		regs = appendEffective(regs[:0], n)
+		for _, r := range regs {
 			out = append(out, MemoryGrant{Region: r, Rights: n.rights, Node: n.id})
 		}
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Node != out[j].Node {
-			return out[i].Node < out[j].Node
-		}
-		return out[i].Region.Start < out[j].Region.Start
-	})
+	}
 	return out
 }
 
@@ -587,52 +655,20 @@ func (s *Space) OwnerMemoryGrants(owner OwnerID) []MemoryGrant {
 func (s *Space) OwnerCores(owner OwnerID) []phys.CoreID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	defer s.rlockOwner(owner)()
-	return s.ownerCores(owner)
-}
-
-// ownerCores requires the owner's shard (or the structural writer lock).
-func (s *Space) ownerCores(owner OwnerID) []phys.CoreID {
-	set := make(map[phys.CoreID]bool)
-	s.nodes.Range(func(_, v any) bool {
-		n := v.(*node)
-		if n.owner != owner || n.res.Kind != ResCore || !n.rights.Has(RightRun) {
-			return true
-		}
-		if s.coreGrantedAway(n) {
-			return true
-		}
-		set[n.res.Core] = true
-		return true
-	})
-	out := make([]phys.CoreID, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func (s *Space) coreGrantedAway(n *node) bool {
-	for _, c := range n.children {
-		if c.kind == KindGranted && c.res.Kind == ResCore && c.res.Core == n.res.Core {
-			return true
+	defer s.rlockOwner(owner).RUnlock()
+	out := []phys.CoreID{}
+	for _, n := range s.owned(owner) {
+		if n.res.Kind == ResCore && n.rights.Has(RightRun) && !grantedAway(n) {
+			out = append(out, n.res.Core)
 		}
 	}
-	return false
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // OwnerHasCore reports whether owner holds RightRun on core.
 func (s *Space) OwnerHasCore(owner OwnerID, core phys.CoreID) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	defer s.rlockOwner(owner)()
-	for _, c := range s.ownerCores(owner) {
-		if c == core {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(s.OwnerCores(owner), core)
 }
 
 // OwnerDevices returns the devices owner may use, minus devices granted
@@ -640,41 +676,42 @@ func (s *Space) OwnerHasCore(owner OwnerID, core phys.CoreID) bool {
 func (s *Space) OwnerDevices(owner OwnerID) []phys.DeviceID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	defer s.rlockOwner(owner)()
-	set := make(map[phys.DeviceID]bool)
-	s.nodes.Range(func(_, v any) bool {
-		n := v.(*node)
-		if n.owner != owner || n.res.Kind != ResDevice || !n.rights.Has(RightUse) {
-			return true
+	defer s.rlockOwner(owner).RUnlock()
+	return s.ownerDevices(owner, RightUse, []phys.DeviceID{})
+}
+
+// ownerDevices appends to dst the devices on which owner holds want
+// through a node that has not granted the device away, sorted and
+// deduplicated. The caller holds the owner's shard.
+func (s *Space) ownerDevices(owner OwnerID, want Rights, dst []phys.DeviceID) []phys.DeviceID {
+	for _, n := range s.owned(owner) {
+		if n.res.Kind == ResDevice && n.rights.Has(want) && !grantedAway(n) {
+			dst = append(dst, n.res.Device)
 		}
-		granted := false
-		for _, c := range n.children {
-			if c.kind == KindGranted && c.res.Kind == ResDevice && c.res.Device == n.res.Device {
-				granted = true
-				break
-			}
-		}
-		if !granted {
-			set[n.res.Device] = true
-		}
-		return true
-	})
-	out := make([]phys.DeviceID, 0, len(set))
-	for d := range set {
-		out = append(out, d)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(dst)
+	return slices.Compact(dst)
 }
 
 // OwnerHasDevice reports whether owner holds RightUse on dev.
 func (s *Space) OwnerHasDevice(owner OwnerID, dev phys.DeviceID) bool {
-	for _, d := range s.OwnerDevices(owner) {
-		if d == dev {
-			return true
-		}
+	return slices.Contains(s.OwnerDevices(owner), dev)
+}
+
+// DMADevices returns the devices on which any of owners holds live
+// (not granted-away) DMA rights, sorted: the devices whose IOMMU
+// context depends on those owners' memory. Each owner is read under
+// its own shard, so the result is a per-owner snapshot.
+func (s *Space) DMADevices(owners ...OwnerID) []phys.DeviceID {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var out []phys.DeviceID
+	for _, o := range owners {
+		sh := s.rlockOwner(o)
+		out = s.ownerDevices(o, RightDMA, out)
+		sh.RUnlock()
 	}
-	return false
+	return out
 }
 
 // CheckMemAccess reports whether owner has effective access with rights
@@ -682,25 +719,13 @@ func (s *Space) OwnerHasDevice(owner OwnerID, dev phys.DeviceID) bool {
 func (s *Space) CheckMemAccess(owner OwnerID, a phys.Addr, want Rights) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	defer s.rlockOwner(owner)()
-	found := false
-	s.nodes.Range(func(_, v any) bool {
-		n := v.(*node)
-		if n.owner != owner || n.res.Kind != ResMemory || !n.rights.Has(want) {
+	defer s.rlockOwner(owner).RUnlock()
+	for _, n := range s.owned(owner) {
+		if n.rights.Has(want) && effectiveContains(n, a) {
 			return true
 		}
-		if !n.res.Mem.Contains(a) {
-			return true
-		}
-		for _, r := range s.effectiveRegions(n) {
-			if r.Contains(a) {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
+	}
+	return false
 }
 
 // Owners returns every owner holding at least one capability, sorted.
@@ -708,15 +733,8 @@ func (s *Space) Owners() []OwnerID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	defer s.rlockAll()()
-	set := make(map[OwnerID]bool)
-	s.nodes.Range(func(_, v any) bool {
-		set[v.(*node).owner] = true
-		return true
-	})
-	out := make([]OwnerID, 0, len(set))
-	for o := range set {
-		out = append(out, o)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := []OwnerID{}
+	s.eachOwner(func(o OwnerID, _ []*node) { out = append(out, o) })
+	slices.Sort(out)
 	return out
 }

@@ -295,13 +295,14 @@ func (m *Monitor) drainRingPar(r *domainRing, core int32, dc *drainCtx) (uint64,
 	if err != nil {
 		return 0, err
 	}
-	pending := tail - r.head
+	head := r.head.Load()
+	pending := tail - head
 	if pending == 0 {
 		return 0, nil
 	}
 	if pending > r.entries {
 		return 0, m.deny("domain %d ring tail %d overruns head %d by more than %d entries",
-			r.owner, tail, r.head, r.entries)
+			r.owner, tail, head, r.entries)
 	}
 
 	tok := m.opTok.Add(1)
@@ -309,7 +310,7 @@ func (m *Monitor) drainRingPar(r *domainRing, core int32, dc *drainCtx) (uint64,
 
 	var executed uint64
 	aborted := false
-	for i := r.head; i != tail; i++ {
+	for i := head; i != tail; i++ {
 		off := phys.Addr(RingSQOff(r.entries, i))
 		var desc [6]uint64
 		readErr := error(nil)
@@ -338,10 +339,10 @@ func (m *Monitor) drainRingPar(r *domainRing, core int32, dc *drainCtx) (uint64,
 			break
 		}
 	}
-	r.head += executed
+	head = r.head.Add(executed)
 	if !aborted {
-		if err := mem.Write64(r.base+RingOffSQHead, r.head); err == nil {
-			_ = mem.Write64(r.base+RingOffCQTail, r.head)
+		if err := mem.Write64(r.base+RingOffSQHead, head); err == nil {
+			_ = mem.Write64(r.base+RingOffCQTail, head)
 		}
 	}
 	m.stats.ringOps.Add(executed)

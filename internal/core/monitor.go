@@ -879,19 +879,14 @@ func (m *Monitor) syncAfterChange(a, b *Domain, res cap.Resource) error {
 // through it; a revoked device capability names its device in devs,
 // since its former holder is no longer in the holder set.
 func (m *Monitor) syncDevicesFor(devs []phys.DeviceID, ids ...DomainID) error {
-	intersects := func(holders []cap.OwnerID) bool {
-		for _, h := range holders {
-			for _, id := range ids {
-				if h == cap.OwnerID(id) {
-					return true
-				}
-			}
-		}
-		return false
+	owners := make([]cap.OwnerID, len(ids))
+	for i, id := range ids {
+		owners[i] = cap.OwnerID(id)
 	}
+	held := m.space.DMADevices(owners...)
 	var affected []phys.DeviceID
 	for _, dev := range m.mach.DeviceIDs() {
-		if slices.Contains(devs, dev) || intersects(m.space.DeviceDMAHolders(dev)) {
+		if slices.Contains(devs, dev) || slices.Contains(held, dev) {
 			affected = append(affected, dev)
 		}
 	}

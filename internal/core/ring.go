@@ -62,6 +62,7 @@ package core
 import (
 	"encoding/binary"
 	"sort"
+	"sync/atomic"
 
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/phys"
@@ -111,8 +112,9 @@ type domainRing struct {
 	entries uint64
 	region  phys.Region
 	// head is the authoritative consume index (the sqHead word in
-	// guest memory is a mirror, never trusted).
-	head uint64
+	// guest memory is a mirror, never trusted). Only the ring's drainer
+	// advances it; RingPending reads it without the drain's exclusion.
+	head atomic.Uint64
 	// capGen is the capability-space generation at the last successful
 	// access validation of the ring footprint.
 	capGen uint64
@@ -288,7 +290,8 @@ func (m *Monitor) drainRingLocked(r *domainRing, core int32) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	pending := tail - r.head
+	head := r.head.Load()
+	pending := tail - head
 	if pending == 0 {
 		return 0, nil
 	}
@@ -296,7 +299,7 @@ func (m *Monitor) drainRingLocked(r *domainRing, core int32) (uint64, error) {
 		// A malformed tail (guest overran its own ring) denies the whole
 		// flush; nothing is consumed, so a fixed-up guest can retry.
 		return 0, m.deny("domain %d ring tail %d overruns head %d by more than %d entries",
-			r.owner, tail, r.head, r.entries)
+			r.owner, tail, head, r.entries)
 	}
 
 	tok := m.opTok.Add(1)
@@ -305,7 +308,7 @@ func (m *Monitor) drainRingLocked(r *domainRing, core int32) (uint64, error) {
 
 	var executed uint64
 	aborted := false
-	for i := r.head; i != tail; i++ {
+	for i := head; i != tail; i++ {
 		off := phys.Addr(RingSQOff(r.entries, i))
 		var desc [6]uint64
 		readErr := error(nil)
@@ -338,12 +341,12 @@ func (m *Monitor) drainRingLocked(r *domainRing, core int32) (uint64, error) {
 			break
 		}
 	}
-	r.head += executed
+	head = r.head.Add(executed)
 	if !aborted {
 		// Mirror progress for the guest (monitor-side head stays
 		// authoritative).
-		if err := mem.Write64(r.base+RingOffSQHead, r.head); err == nil {
-			_ = mem.Write64(r.base+RingOffCQTail, r.head)
+		if err := mem.Write64(r.base+RingOffSQHead, head); err == nil {
+			_ = mem.Write64(r.base+RingOffCQTail, head)
 		}
 	}
 	rounds, coalesced := m.mach.EndShootdownBatch()
@@ -472,5 +475,5 @@ func (m *Monitor) RingPending(id DomainID) uint64 {
 	if err != nil {
 		return 0
 	}
-	return tail - r.head
+	return tail - r.head.Load()
 }

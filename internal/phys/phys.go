@@ -12,8 +12,9 @@
 package phys
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // PageSize is the granularity of memory access control, matching the 4KiB
@@ -152,7 +153,7 @@ func NormalizeRegions(regs []Region) []Region {
 			cp = append(cp, r)
 		}
 	}
-	sort.Slice(cp, func(i, j int) bool { return cp[i].Start < cp[j].Start })
+	slices.SortFunc(cp, func(a, b Region) int { return cmp.Compare(a.Start, b.Start) })
 	var out []Region
 	for _, r := range cp {
 		if n := len(out); n > 0 && r.Start <= out[n-1].End {
